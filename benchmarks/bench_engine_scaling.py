@@ -7,8 +7,9 @@ worker counts, comparing
   algorithm, reproduced literally below (LB_Keogh-ranked candidates, no
   LB_Kim stage, no early abandoning, one pair at a time) so the baseline
   stays fixed as the library evolves;
-* the cascaded :class:`repro.engine.DistanceEngine` under its three
-  backends, with the multiprocessing backend swept over worker counts.
+* the cascaded :class:`repro.engine.DistanceEngine` on its default
+  in-process path (``serial`` and ``vectorized`` are aliases of it), and
+  the multiprocessing backend swept over worker counts.
 
 Every configuration is verified to return *identical* hit rankings before
 its timing is reported.  Run it directly::
@@ -16,9 +17,10 @@ its timing is reported.  Run it directly::
     PYTHONPATH=src python benchmarks/bench_engine_scaling.py \
         --sizes 50,100,200 --length 256 --queries 10 --k 10 --workers 1,2,4
 
-The acceptance bar for the engine PR: on a synthetic 200-series collection
-(length 256), the multiprocessing + cascade engine must answer a 10-query
-k-NN workload at least 3x faster than the seed sequential path.
+``--min-speedup X`` turns the run into a perf guard: it exits 1 unless,
+at every size, the default in-process engine is at least ``X`` times
+faster than the seed sequential path with identical rankings.  CI runs
+``--sizes 100 --length 150 --queries 5 --k 5 --workers 2 --min-speedup 10``.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ def seed_sequential_knn(
     return rankings
 
 
+DEFAULT_LABEL = "engine in-process"
+
+
 def run_benchmark(
     sizes: Sequence[int],
     length: int,
@@ -117,12 +122,14 @@ def run_benchmark(
         seed_seconds = time.perf_counter() - start
         rows.append([size, "seed sequential", "-", seed_seconds, 1.0, "yes"])
 
-        configurations = [("serial", None), ("vectorized", None)]
-        configurations += [("multiprocessing", w) for w in worker_counts]
-        for backend, workers in configurations:
-            engine = DistanceEngine(
-                constraint, backend=backend, num_workers=workers
-            )
+        configurations = [(DEFAULT_LABEL, None, None)]
+        configurations += [
+            ("engine multiprocessing", "multiprocessing", w)
+            for w in worker_counts
+        ]
+        for name, backend, workers in configurations:
+            options = {} if backend is None else {"backend": backend}
+            engine = DistanceEngine(constraint, num_workers=workers, **options)
             for ident, values, label in zip(identifiers, series, labels):
                 engine.add(values, identifier=ident, label=label)
             engine.prepare()
@@ -132,7 +139,7 @@ def run_benchmark(
             identical = result.rankings() == seed_rankings
             rows.append([
                 size,
-                f"engine {backend}",
+                name,
                 "-" if workers is None else workers,
                 elapsed,
                 seed_seconds / elapsed if elapsed > 0 else float("inf"),
@@ -155,6 +162,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--constraint", default="fc,fw",
                         help="refinement constraint family")
     parser.add_argument("--seed", type=int, default=7, help="generation seed")
+    parser.add_argument("--min-speedup", type=float, default=None,
+                        help="exit 1 unless the default in-process engine "
+                             "is at least this many times faster than the "
+                             "seed path, with identical rankings")
     args = parser.parse_args(list(argv) if argv is not None else None)
 
     sizes = [int(v) for v in args.sizes.split(",") if v]
@@ -173,6 +184,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=0.0,
     )
     print(f"\nminimum multiprocessing speedup over seed: {worst:.2f}x")
+    default_rows = [row for row in rows if row[1] == DEFAULT_LABEL]
+    slowest = min(row[4] for row in default_rows)
+    print(f"minimum in-process speedup over seed: {slowest:.2f}x")
+    if args.min_speedup is not None:
+        failures = [
+            row for row in default_rows
+            if row[4] < args.min_speedup or row[5] != "yes"
+        ]
+        if failures:
+            print(f"FAIL: in-process engine below {args.min_speedup:g}x or "
+                  f"rankings differ at sizes {[row[0] for row in failures]}")
+            return 1
+        print(f"PASS: in-process engine >= {args.min_speedup:g}x with "
+              f"identical rankings")
     return 0
 
 

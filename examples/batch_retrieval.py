@@ -5,10 +5,9 @@ against a whole collection, where most candidate pairs should be discarded
 without ever running a dynamic program.  This example
 
 1. builds a labelled synthetic collection and a :class:`DistanceEngine`
-   for each execution backend (serial / vectorized / multiprocessing),
+   for each execution backend (in-process ``serial`` / ``multiprocessing``),
 2. answers a batch of leave-one-out k-NN queries in a single call,
-3. shows that every backend returns *identical* rankings while doing very
-   different amounts of per-stage work, and
+3. shows that both backends return *identical* rankings, and
 4. prints the cascade accounting (LB_Kim -> LB_Keogh -> early-abandoning
    banded DTW) and the Figure 17 style time breakdown per backend.
 
@@ -37,8 +36,7 @@ def main(num_series: int = 24) -> None:
     rankings = {}
     rows = []
     excludes = None
-    for backend, workers in (("serial", None), ("vectorized", None),
-                             ("multiprocessing", 2)):
+    for backend, workers in (("serial", None), ("multiprocessing", 2)):
         engine = DistanceEngine("fc,fw", backend=backend, num_workers=workers)
         identifiers = engine.add_dataset(dataset)
         excludes = identifiers[:num_queries]
@@ -65,9 +63,9 @@ def main(num_series: int = 24) -> None:
         title="Cascade work per backend (identical results)",
     ))
 
-    assert rankings["serial"] == rankings["vectorized"] == rankings["multiprocessing"]
+    assert rankings["serial"] == rankings["multiprocessing"]
     print("\nAll backends returned identical rankings. First query's hits:")
-    engine = DistanceEngine("fc,fw", backend="vectorized")
+    engine = DistanceEngine("fc,fw")
     engine.add_dataset(dataset)
     first = engine.query(queries[0], 5, exclude_identifier=excludes[0])
     for rank, hit in enumerate(first.hits, start=1):

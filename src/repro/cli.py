@@ -141,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "fc,aw, ac,fw, ac,aw, ac2,aw (default: fc,fw)")
     eng.add_argument("--backend", default="serial",
                      choices=["serial", "vectorized", "multiprocessing"],
-                     help="execution backend (default: serial)")
+                     help="execution backend (default: serial; vectorized "
+                          "is an alias of the same in-process path)")
     eng.add_argument("--workers", type=int, default=None,
                      help="worker processes for the multiprocessing backend")
     eng.add_argument("--num-queries", type=int, default=5,
@@ -257,7 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "fc,aw, ac,fw, ac,aw, ac2,aw (default: fc,fw)")
     ws_init.add_argument("--backend", default="serial",
                          choices=["serial", "vectorized", "multiprocessing"],
-                         help="execution backend (default: serial)")
+                         help="execution backend (default: serial; "
+                              "vectorized is an alias of the same "
+                              "in-process path)")
     ws_init.add_argument("--codewords", type=int, default=256,
                          help="index codebook size (default: 256)")
     ws_init.add_argument("--shards", type=int, default=4,

@@ -127,14 +127,11 @@ def _candidate_points_adaptive_core(
         ix, iy = partition.corresponding(idx)
         x_len = ix.end - ix.start
         y_len = iy.end - iy.start
-        for i in range(ix.start, ix.end + 1):
-            if x_len == 0:
-                candidates[i] = iy.start
-            elif y_len == 0:
-                candidates[i] = iy.start
-            else:
-                fraction = (i - ix.start) / x_len
-                candidates[i] = iy.start + fraction * y_len
+        if x_len == 0 or y_len == 0:
+            candidates[ix.start: ix.end + 1] = iy.start
+        else:
+            fraction = np.arange(x_len + 1) / x_len
+            candidates[ix.start: ix.end + 1] = iy.start + fraction * y_len
     # Interval ends overlap between consecutive intervals; the last write
     # wins, which matches taking the later interval's mapping at the shared
     # boundary point.  Endpoints are forced onto the grid corners so that a
@@ -147,6 +144,32 @@ def _candidate_points_adaptive_core(
 def _interval_widths(partition: IntervalPartition) -> np.ndarray:
     """Widths (sample counts) of the second series' intervals."""
     return np.asarray([iv.length for iv in partition.intervals_y], dtype=float)
+
+
+def _interval_indices_y(
+    partition: IntervalPartition, columns: np.ndarray
+) -> np.ndarray:
+    """:meth:`IntervalPartition.interval_index_for_y` over many columns."""
+    intervals = partition.intervals_y
+    starts = np.array([iv.start for iv in intervals])
+    ends = np.array([iv.end for iv in intervals])
+    last = len(intervals) - 1
+    found = np.minimum(np.searchsorted(ends, columns, side="left"), last)
+    # A column strictly inside one interval has exactly one answer, and the
+    # clamped ends mirror the scalar lookup's first two branches.  A column
+    # on a shared interval endpoint defers to the scalar lookup, so its
+    # tie-breaking is unchanged.
+    indices = np.where(
+        columns <= ends[0], 0, np.where(columns >= starts[-1], last, found)
+    )
+    on_endpoint = (
+        (columns > ends[0])
+        & (columns < starts[-1])
+        & ((columns == starts[found]) | (columns == ends[found]))
+    )
+    for position in np.flatnonzero(on_endpoint).tolist():
+        indices[position] = partition.interval_index_for_y(int(columns[position]))
+    return indices
 
 
 def _averaged_width(
@@ -215,15 +238,15 @@ def build_constraint_band(
     if parsed.width == "adaptive" and have_partition:
         widths_y = _interval_widths(partition)
         radius = parsed.neighbor_radius or 0
-        per_point_width = np.empty(n, dtype=float)
-        for i in range(n):
-            j = int(round(candidates[i]))
-            interval_idx = partition.interval_index_for_y(j)
-            if radius > 0:
-                width = _averaged_width(widths_y, interval_idx, radius)
-            else:
-                width = widths_y[interval_idx]
-            per_point_width[i] = min(max(width, lower_bound), upper_bound)
+        interval_idx = _interval_indices_y(partition, np.rint(candidates).astype(int))
+        if radius > 0:
+            distinct, inverse = np.unique(interval_idx, return_inverse=True)
+            width = np.array([
+                _averaged_width(widths_y, int(index), radius) for index in distinct
+            ])[inverse]
+        else:
+            width = widths_y[interval_idx]
+        per_point_width = np.minimum(np.maximum(width, lower_bound), upper_bound)
     elif parsed.width == "adaptive":
         # No partition information: fall back to the lower bound width.
         per_point_width = np.full(n, max(lower_bound, fixed_width))

@@ -51,20 +51,6 @@ class MatchedPair:
         return abs(self.feature_x.position - self.feature_y.position)
 
 
-def _passes_gates(
-    first: SalientFeature, second: SalientFeature, config: MatchingConfig
-) -> bool:
-    """Amplitude (τ_a) and scale-ratio (τ_s) admissibility gates."""
-    if abs(first.amplitude - second.amplitude) > config.max_amplitude_difference:
-        return False
-    small, large = sorted((first.sigma, second.sigma))
-    if small <= 0:
-        return False
-    if large / small > config.max_scale_ratio:
-        return False
-    return True
-
-
 def match_salient_features(
     features_x: Sequence[SalientFeature],
     features_y: Sequence[SalientFeature],
@@ -96,9 +82,8 @@ def match_salient_features(
     """
     if config is None:
         config = MatchingConfig()
-    matches: List[MatchedPair] = []
     if not features_x or not features_y:
-        return matches
+        return []
 
     # Descriptors may have different lengths if callers mix configurations;
     # compare over the common prefix (normal use keeps lengths equal).
@@ -130,27 +115,25 @@ def match_salient_features(
     admissible = amplitude_ok & scale_ok
 
     gated = np.where(admissible, distances, np.inf)
-    for i, feature in enumerate(features_x):
-        row = gated[i]
-        best_j = int(np.argmin(row))
-        best_distance = float(row[best_j])
-        if not np.isfinite(best_distance):
-            continue
-        if config.require_distinctive and row.size > 1:
-            second_distance = float(np.partition(row, 1)[1])
-            # Accept only if the best match is clearly better than the
-            # runner-up: best * tau_d <= second.
-            if (
-                np.isfinite(second_distance)
-                and best_distance * config.distinctiveness_ratio > second_distance
-            ):
-                continue
-        matches.append(
-            MatchedPair(
-                feature_x=feature,
-                feature_y=features_y[best_j],
-                descriptor_distance=best_distance,
-            )
+    rows = np.arange(gated.shape[0])
+    best_j = np.argmin(gated, axis=1)
+    best = gated[rows, best_j]
+    accepted = np.isfinite(best)
+    if config.require_distinctive and gated.shape[1] > 1:
+        second = np.partition(gated, 1, axis=1)[:, 1]
+        # Accept only if the best match is clearly better than the
+        # runner-up: best * tau_d <= second.
+        accepted &= ~(
+            np.isfinite(second)
+            & (best * config.distinctiveness_ratio > second)
         )
+    matches = [
+        MatchedPair(
+            feature_x=features_x[i],
+            feature_y=features_y[int(best_j[i])],
+            descriptor_distance=float(best[i]),
+        )
+        for i in np.flatnonzero(accepted).tolist()
+    ]
     matches.sort(key=lambda pair: pair.feature_x.position)
     return matches

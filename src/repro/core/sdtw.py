@@ -16,9 +16,11 @@ measure used throughout Section 4.
 
 from __future__ import annotations
 
+import copy
 import time
+from collections import ChainMap
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import MutableMapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -125,6 +127,13 @@ class SDTWResult:
 
 _SALIENT_SPECS = ("fc,aw", "ac,fw", "ac,aw", "ac2,aw")
 
+_CacheKey = Tuple[str, int, bytes]
+
+
+def _cache_key(series: np.ndarray) -> _CacheKey:
+    """Feature-cache key: the exact series bytes with their dtype and length."""
+    return (series.dtype.str, series.size, series.tobytes())
+
 
 class SDTW:
     """Salient-feature-based DTW with locally relevant constraints.
@@ -149,8 +158,7 @@ class SDTW:
 
     def __init__(self, config: Optional[SDTWConfig] = None) -> None:
         self.config = config if config is not None else SDTWConfig()
-        self._feature_cache: Dict[int, Tuple[SalientFeature, ...]] = {}
-        self._cache_keys: Dict[int, bytes] = {}
+        self._feature_cache: MutableMapping[_CacheKey, Tuple[SalientFeature, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Feature extraction and caching
@@ -158,10 +166,33 @@ class SDTW:
     def clear_cache(self) -> None:
         """Drop all cached salient features."""
         self._feature_cache.clear()
-        self._cache_keys.clear()
 
-    def _cache_key(self, series: np.ndarray) -> int:
-        return hash(series.tobytes())
+    @property
+    def cache_size(self) -> int:
+        """Number of series whose salient features are cached."""
+        return len(self._feature_cache)
+
+    def cache_features(
+        self,
+        series: Union[Sequence[float], np.ndarray],
+        features: Sequence[SalientFeature],
+    ) -> None:
+        """Seed the cache with features extracted elsewhere (a feature store)."""
+        values = as_series(series, "series")
+        self._feature_cache[_cache_key(values)] = tuple(features)
+
+    def query_scope(self) -> "SDTW":
+        """A view of this object for one query's comparisons.
+
+        The view reads this object's cache, but features it extracts
+        itself (the query's) go into a private overlay that is dropped
+        with the view.  The query's features are thus extracted once per
+        query, and traffic of distinct queries never grows the shared
+        cache.
+        """
+        scoped = copy.copy(self)
+        scoped._feature_cache = ChainMap({}, self._feature_cache)
+        return scoped
 
     def extract_features(
         self, series: Union[Sequence[float], np.ndarray]
@@ -175,7 +206,7 @@ class SDTW:
             cache hit).
         """
         values = as_series(series, "series")
-        key = self._cache_key(values)
+        key = _cache_key(values)
         if key in self._feature_cache:
             return self._feature_cache[key], 0.0
         start = time.perf_counter()

@@ -32,13 +32,17 @@ Backend selection
 -----------------
 ``DistanceEngine(backend=...)`` picks how the cascade executes:
 
-* ``serial`` — per-pair reference path; transparent and allocation-light.
-* ``vectorized`` — numpy-batched lower bounds, and for shared-band
-  constraint families over equal-length collections a lock-step batch DP
-  that advances one grid row for dozens of candidates per numpy call
-  (bit-identical distances to the serial kernel).
+* ``serial`` (default) — the one in-process path.  Whenever the band
+  depends only on the grid shape (``full``, Sakoe–Chiba ``fc,fw`` and
+  ``itakura`` over an equal-length collection) it batches the lower
+  bounds and refines candidates with the lock-step batch DP, advancing
+  one grid row for dozens of candidates per numpy call.  Where bands
+  differ per candidate (the adaptive sDTW families, or mixed lengths)
+  it refines pair by pair and computes LB_Keogh lazily.
+  ``vectorized`` is an alias accepted for configurations written by
+  earlier versions; it runs the same code.
 * ``multiprocessing`` — whole queries fan out to worker processes (each
-  running the vectorised path); series matrices, envelopes and
+  running the in-process path); series matrices, envelopes and
   salient-feature caches are shared copy-on-write via ``fork`` where
   available.
 

@@ -1,20 +1,23 @@
 """Execution backends for the batch distance engine.
 
-Three strategies orchestrate the same per-query cascade:
+Two strategies orchestrate the same per-query cascade:
 
-* ``serial`` — the transparent reference path: per-pair lower bounds and
-  per-pair DTW kernels, one candidate at a time.
-* ``vectorized`` — batched numpy lower bounds over the stacked collection
-  and (for shared-band constraint families over equal-length collections)
-  the lock-step batch DP kernel of :mod:`repro.engine.kernels`.
+* ``serial`` — the one in-process path: batched lower bounds and the
+  lock-step batch DP of :mod:`repro.engine.kernels` wherever every
+  candidate shares one band (the ``full``, ``fc,fw`` and ``itakura``
+  families over an equal-length collection), and a per-pair loop with
+  lazy LB_Keogh where bands differ per candidate.  ``vectorized`` (and
+  its spellings) is kept as an alias, because manifests and
+  ``--backend`` flags written by earlier versions carry it; it resolves
+  to its own name but runs the same code.
 * ``multiprocessing`` — a process pool that fans whole queries out to
-  workers; each worker runs the vectorised per-query path.  On platforms
+  workers; each worker runs the in-process path.  On platforms
   with ``fork`` the engine state (series matrix, envelopes, salient-feature
   caches) is inherited copy-on-write, so nothing is re-extracted or
   re-pickled per task; with ``spawn`` the state is shipped once per worker
   through the pool initializer.
 
-All three produce identical distances and k-NN rankings; the equivalence
+Both produce identical distances and k-NN rankings; the equivalence
 test suite (``tests/test_engine_equivalence.py``) enforces it.
 
 Backends are agnostic to how the engine stores its collection: the

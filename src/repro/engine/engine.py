@@ -46,7 +46,7 @@ from ..dtw.distances import get_pointwise_distance
 from ..dtw.lower_bounds import (
     keogh_envelope,
     kim_profile,
-    lb_keogh,
+    lb_keogh as lb_keogh,  # module attribute the perfbench tracer wraps
     lb_kim,
     lb_kim_batch,
     lb_keogh_batch,
@@ -55,10 +55,6 @@ from ..exceptions import DatasetError, ValidationError
 from .backends import default_num_workers, resolve_backend, run_parallel
 from .kernels import banded_dtw_batch
 from .stats import EngineStats
-
-# Constraint families whose band depends only on the pair of lengths, so a
-# single validated band can drive the batch DP kernel for every candidate.
-_SHARED_BAND_CONSTRAINTS = ("full", "fc,fw", "itakura")
 
 # Pointwise distances the LB_Kim / LB_Keogh derivations hold for.
 _BOUNDABLE_DISTANCES = ("absolute", "manhattan")
@@ -290,16 +286,6 @@ class _Prepared:
         """Tight LB_Keogh envelopes (upper, lower) of the given slots."""
         return self._gather(indices, "tight_upper"), self._gather(indices, "tight_lower")
 
-    def tight_row_one(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Tight envelope of one slot (the serial cascade's hot accessor)."""
-        if len(self.segments) == 1:
-            seg = self.segments[0]
-            return seg.tight_upper[index], seg.tight_lower[index]
-        s = int(self._segment_of(np.array([index]))[0])
-        local = index - int(self.seg_starts[s])
-        seg = self.segments[s]
-        return seg.tight_upper[local], seg.tight_lower[local]
-
 
 class DistanceEngine:
     """Batch k-NN / distance-matrix computation with cascaded pruning.
@@ -320,8 +306,8 @@ class DistanceEngine:
     config:
         sDTW configuration (band widths, descriptors, pointwise distance).
     backend:
-        ``"serial"``, ``"vectorized"`` or ``"multiprocessing"`` (see
-        :mod:`repro.engine.backends`).
+        ``"serial"`` (the in-process path; ``"vectorized"`` is an alias)
+        or ``"multiprocessing"`` (see :mod:`repro.engine.backends`).
     num_workers:
         Worker processes for the multiprocessing backend (default: CPU
         count).
@@ -333,9 +319,9 @@ class DistanceEngine:
     itakura_max_slope:
         Slope parameter of the ``"itakura"`` constraint.
     batch_size:
-        Chunk size of the vectorised refinement stage: candidates are
-        refined in ascending-bound chunks of this size so the abandonment
-        threshold tightens between chunks.
+        Chunk size of the batch DP refinement (shared-band families):
+        candidates are refined in ascending-bound chunks of this size so
+        the abandonment threshold tightens between chunks.
     """
 
     def __init__(
@@ -712,14 +698,19 @@ class DistanceEngine:
 
     def _refine(
         self,
+        sdtw: SDTW,
         query: np.ndarray,
         stored: _Stored,
         threshold: Optional[float],
-        band: Optional[np.ndarray] = None,
     ) -> Tuple[float, int, bool, float, float, float]:
-        """One refinement: ``(distance, cells, abandoned, extract, match, dp)``."""
-        if band is None:
-            band = self._shared_band(query.size, stored.values.size)
+        """One per-pair refinement: ``(distance, cells, abandoned, extract,
+        match, dp)``.
+
+        Only used where bands differ per candidate (adaptive constraints,
+        or a shared-band family over mixed lengths); *sdtw* is the
+        query-scoped view from :meth:`SDTW.query_scope`.
+        """
+        band = self._shared_band(query.size, stored.values.size)
         if band is not None:
             start = time.perf_counter()
             result = banded_dtw(
@@ -729,7 +720,7 @@ class DistanceEngine:
             dp_seconds = time.perf_counter() - start
             return (result.distance, result.cells_filled, result.abandoned,
                     0.0, 0.0, dp_seconds)
-        result = self._sdtw.distance(
+        result = sdtw.distance(
             query, stored.values, self.constraint, abandon_threshold=threshold
         )
         return (result.distance, result.cells_filled, result.abandoned,
@@ -743,17 +734,6 @@ class DistanceEngine:
             and prep.has_tight
             and prep.equal_length
             and n == int(prep.lengths[0])
-        )
-
-    def _keogh_bound_one(self, query: np.ndarray, index: int) -> float:
-        prep = self._prepared
-        if self._keogh_tight_applicable(query.size):
-            return lb_keogh(
-                query, self._stored[index].values, prep.tight_radius,
-                envelope=prep.tight_row_one(index),
-            )
-        return _global_keogh_one(
-            query, float(prep.mins[index]), float(prep.maxs[index])
         )
 
     def _keogh_bounds_batch(
@@ -783,7 +763,6 @@ class DistanceEngine:
         query: np.ndarray,
         k: int,
         exclude_indices: Tuple[int, ...],
-        mode: str,
         candidate_indices: Optional[Sequence[int]] = None,
     ) -> QueryResult:
         prep = self._prepared
@@ -823,9 +802,14 @@ class DistanceEngine:
         stats.candidates = int(include.size)
         stats.total_cells = int(n * prep.lengths[include].sum())
 
+        # When the band depends only on the grid shape, every candidate is
+        # refined by the lock-step batch DP; per-candidate bands (adaptive
+        # constraints, mixed lengths) keep the per-pair loop, which bounds
+        # lazily: LB_Keogh only for candidates LB_Kim did not prune.
+        band = self._shared_band(n, int(prep.lengths[0])) if prep.equal_length else None
         use_kim = self.use_lb_kim and self._bounds_admissible
         use_keogh = self.use_lb_keogh and self._bounds_admissible
-        lazy_keogh = mode == "serial" and use_kim and use_keogh
+        lazy_keogh = band is None and use_kim and use_keogh
 
         # With a candidate restriction the bounds are only computed over
         # the included subset (scattered back into full-size vectors so
@@ -852,10 +836,6 @@ class DistanceEngine:
                     keogh_all[include] = self._keogh_bounds_batch(
                         query, subset=include
                     )
-            elif mode == "serial":
-                keogh_all = np.array(
-                    [self._keogh_bound_one(query, i) for i in range(len(self._stored))]
-                )
             else:
                 keogh_all = self._keogh_bounds_batch(query)
             stats.lb_keogh_computed = int(include.size)
@@ -893,8 +873,10 @@ class DistanceEngine:
             if len(kept) == k:
                 worst = kept[-1][0]
 
-        band = self._shared_band(n, int(prep.lengths[0])) if prep.equal_length else None
-        use_batch_dp = mode == "vectorized" and band is not None
+        if band is not None:
+            pointwise = get_pointwise_distance(self.config.pointwise_distance)
+        else:
+            sdtw = self._sdtw.query_scope()
 
         position = 0
         while position < order.size:
@@ -902,7 +884,7 @@ class DistanceEngine:
             if bound_all[order[position]] > limit:
                 prune_remaining(position)
                 break
-            if use_batch_dp:
+            if band is not None:
                 stop = min(position + self.batch_size, order.size)
                 chunk: List[int] = []
                 for t in range(position, stop):
@@ -912,9 +894,7 @@ class DistanceEngine:
                 threshold = limit if (self.early_abandon and np.isfinite(limit)) else None
                 dp_start = time.perf_counter()
                 dists, cell_counts, abandoned_mask = banded_dtw_batch(
-                    query, prep.matrix_rows(chunk), band,
-                    get_pointwise_distance(self.config.pointwise_distance),
-                    threshold,
+                    query, prep.matrix_rows(chunk), band, pointwise, threshold,
                 )
                 stats.dp_seconds += time.perf_counter() - dp_start
                 stats.cells_filled += int(cell_counts.sum())
@@ -931,7 +911,11 @@ class DistanceEngine:
             position += 1
             if lazy_keogh:
                 bound_start = time.perf_counter()
-                keogh_bound = self._keogh_bound_one(query, index)
+                # Tight envelopes need the shared Sakoe-Chiba band, so the
+                # per-pair loop always uses the global envelope.
+                keogh_bound = _global_keogh_one(
+                    query, float(prep.mins[index]), float(prep.maxs[index])
+                )
                 stats.lb_keogh_computed += 1
                 stats.bound_seconds += time.perf_counter() - bound_start
                 if len(kept) == k and keogh_bound > worst:
@@ -941,7 +925,7 @@ class DistanceEngine:
                 worst if (self.early_abandon and len(kept) == k) else None
             )
             distance, cells, was_abandoned, extract_s, match_s, dp_s = self._refine(
-                query, self._stored[index], threshold, band=band
+                sdtw, query, self._stored[index], threshold
             )
             stats.cells_filled += cells
             stats.extract_seconds += extract_s
@@ -965,7 +949,7 @@ class DistanceEngine:
         stats.elapsed_seconds = time.perf_counter() - started
         return QueryResult(hits=hits, stats=stats)
 
-    def _matrix_row(self, query: np.ndarray, mode: str) -> Tuple[np.ndarray, EngineStats]:
+    def _matrix_row(self, query: np.ndarray) -> Tuple[np.ndarray, EngineStats]:
         """All distances from one query to the collection (no pruning)."""
         prep = self._prepared
         started = time.perf_counter()
@@ -974,9 +958,8 @@ class DistanceEngine:
         stats.candidates = count
         n = query.size
         stats.total_cells = int(n * prep.lengths.sum())
-        row = np.empty(count)
         band = self._shared_band(n, int(prep.lengths[0])) if prep.equal_length else None
-        if mode == "vectorized" and band is not None:
+        if band is not None:
             dp_start = time.perf_counter()
             parts = []
             pointwise = get_pointwise_distance(self.config.pointwise_distance)
@@ -990,9 +973,11 @@ class DistanceEngine:
             stats.dp_seconds += time.perf_counter() - dp_start
             stats.dtw_computed += count
         else:
+            row = np.empty(count)
+            sdtw = self._sdtw.query_scope()
             for index, stored in enumerate(self._stored):
                 distance, cells, _, extract_s, match_s, dp_s = self._refine(
-                    query, stored, None, band=band
+                    sdtw, query, stored, None
                 )
                 row[index] = distance
                 stats.cells_filled += cells
@@ -1022,7 +1007,6 @@ class DistanceEngine:
         *,
         exclude_identifiers: Optional[Sequence[Optional[str]]] = None,
         candidate_indices: Optional[Sequence[Optional[Sequence[int]]]] = None,
-        backend: Optional[str] = None,
     ) -> BatchKNNResult:
         """k nearest stored series for every query, in one batch call.
 
@@ -1040,18 +1024,9 @@ class DistanceEngine:
             (the indexing subsystem's re-rank hook); ``None`` entries
             scan the whole collection.  Must have one entry per query
             when given.
-        backend:
-            Per-call execution-backend override (results are identical
-            across backends; the equivalence suite pins that down).  The
-            serving layer uses this to run coalesced micro-batches
-            through the vectorised batch kernels while interactive
-            single queries keep the engine's configured backend.
         """
         self._require_collection()
         self.prepare()
-        active_backend = (
-            self.backend if backend is None else resolve_backend(backend)
-        )
         k = check_int_at_least(k, 1, "k")
         arrays = [as_series(q, f"queries[{i}]") for i, q in enumerate(queries)]
         if exclude_identifiers is None:
@@ -1076,18 +1051,14 @@ class DistanceEngine:
             for qi in range(len(arrays))
         ]
         started = time.perf_counter()
-        if active_backend == "multiprocessing" and len(payloads) > 1:
+        if self.backend == "multiprocessing" and len(payloads) > 1:
             workers = (
                 self.num_workers if self.num_workers is not None
                 else default_num_workers()
             )
             outcomes = run_parallel(self, _knn_query_task, payloads, workers)
         else:
-            mode = "serial" if active_backend == "serial" else "vectorized"
-            outcomes = [
-                (qi, self._run_query(query, k, exclude, mode, candidates))
-                for qi, query, k, exclude, candidates in payloads
-            ]
+            outcomes = [_knn_query_task(self, payload) for payload in payloads]
         ordered = [result for _, result in sorted(outcomes, key=lambda item: item[0])]
         return BatchKNNResult(
             results=ordered, elapsed_seconds=time.perf_counter() - started
@@ -1139,10 +1110,7 @@ class DistanceEngine:
             )
             outcomes = run_parallel(self, _matrix_row_task, payloads, workers)
         else:
-            mode = "serial" if self.backend == "serial" else "vectorized"
-            outcomes = [
-                (qi, self._matrix_row(query, mode)) for qi, query in payloads
-            ]
+            outcomes = [_matrix_row_task(self, payload) for payload in payloads]
         rows: List[Optional[np.ndarray]] = [None] * len(arrays)
         stats = EngineStats()
         for qi, (row, row_stats) in outcomes:
@@ -1154,14 +1122,12 @@ class DistanceEngine:
 
 
 def _knn_query_task(engine: DistanceEngine, payload):
-    """Multiprocessing task: run one query through the vectorised cascade."""
+    """One query through the cascade (in process or in a pool worker)."""
     qi, query, k, exclude_indices, candidate_indices = payload
-    return qi, engine._run_query(
-        query, k, exclude_indices, "vectorized", candidate_indices
-    )
+    return qi, engine._run_query(query, k, exclude_indices, candidate_indices)
 
 
 def _matrix_row_task(engine: DistanceEngine, payload):
-    """Multiprocessing task: one full distance-matrix row."""
+    """One full distance-matrix row (in process or in a pool worker)."""
     qi, query = payload
-    return qi, engine._matrix_row(query, "vectorized")
+    return qi, engine._matrix_row(query)

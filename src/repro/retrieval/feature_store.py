@@ -247,8 +247,7 @@ class FeatureStore:
         for identifier, values in self._series.items():
             if identifier not in self._features:
                 continue  # deferred extraction: nothing to seed yet
-            key = engine._cache_key(np.ascontiguousarray(values, dtype=float))
-            engine._feature_cache[key] = self._features[identifier]
+            engine.cache_features(values, self._features[identifier])
         return engine
 
     # ------------------------------------------------------------------ #

@@ -23,7 +23,7 @@ responses; workspace calls run on a bounded thread pool
 (``max_inflight`` workers), so concurrent queries genuinely overlap
 and — with ``ServingConfig.micro_batch`` on — coalesce through the
 workspace's :class:`~repro.service.batching.MicroBatcher` into
-vectorised engine batches.  Admission control is two-level: up to
+engine batches.  Admission control is two-level: up to
 ``max_inflight`` requests execute, up to ``max_pending`` more wait,
 and anything beyond is refused immediately with 503 instead of
 building an unbounded queue.

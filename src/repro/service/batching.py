@@ -3,9 +3,7 @@
 Under multi-threaded load, N callers each running the full per-query
 cascade contend for the interpreter; the engine's batch entry point
 (:meth:`repro.engine.DistanceEngine.knn`) answers the same N queries in
-one call, sharing the prepared collection caches and — on the
-vectorised backend — advancing the batched dynamic program in numpy
-instead of N Python row loops.  :class:`MicroBatcher` is the combiner
+one call, sharing the prepared collection caches.  :class:`MicroBatcher` is the combiner
 that turns concurrent ``query`` calls into such batches:
 
 * the first caller to arrive becomes the **leader**: if no companion is

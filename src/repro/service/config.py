@@ -47,7 +47,8 @@ class EngineConfig(_DictRoundTrip):
         Refinement constraint family: ``"full"``, ``"fc,fw"``,
         ``"itakura"``, or any sDTW adaptive family (``"ac,aw"``, ...).
     backend:
-        Execution backend: ``"serial"``, ``"vectorized"`` or
+        Execution backend: ``"serial"`` (the in-process path;
+        ``"vectorized"`` is an alias that runs the same code) or
         ``"multiprocessing"``.
     num_workers:
         Worker processes for the multiprocessing backend (``None``: CPU
@@ -58,7 +59,7 @@ class EngineConfig(_DictRoundTrip):
         Whether refinements stop once they provably exceed the running
         k-th best distance.
     batch_size:
-        Chunk size of the vectorised refinement stage.
+        Chunk size of the batch DP refinement (shared-band families).
     itakura_max_slope:
         Slope parameter of the ``"itakura"`` constraint.
     """

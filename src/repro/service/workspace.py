@@ -1326,15 +1326,11 @@ class Workspace:
             # Seed the shared salient-feature cache for the new series
             # from the store before the engine derivation would extract
             # them from scratch.
-            sdtw = base_engine._sdtw
             for identifier in added:
-                features = self._store.ensure_features(identifier)
-                key = sdtw._cache_key(
-                    np.ascontiguousarray(
-                        self._store.series_of(identifier), dtype=float
-                    )
+                base_engine._sdtw.cache_features(
+                    self._store.series_of(identifier),
+                    self._store.ensure_features(identifier),
                 )
-                sdtw._feature_cache[key] = features
         engine = base_engine.extended(
             [
                 (self._store.series_of(identifier), identifier,
@@ -1700,10 +1696,18 @@ class Workspace:
         mode:
             ``"exact"`` runs the full engine cascade; ``"indexed"`` runs
             candidate generation + exact re-rank (requires a fresh
-            index); ``"auto"`` picks ``indexed`` when a fresh index
-            exists, ``exact`` otherwise.
+            index); ``"auto"`` picks ``indexed`` only when a fresh index
+            exists *and* the effective candidate budget (``candidates``,
+            else the index's configured budget) is smaller than the live
+            series count.  Otherwise it runs ``exact``: a budget covering
+            every live series would re-rank them all after paying for
+            query features and candidate generation, and exact answers
+            are the reference, so ``auto`` never does more work than
+            ``exact`` and never loses recall to it.  The trace records
+            the choice as the ``route_reason`` attribute.
         candidates:
-            Per-query candidate budget override (indexed mode).
+            Per-query candidate budget override (indexed mode, and the
+            ``auto`` routing rule above).
         exclude_identifier:
             Skip this stored identifier (leave-one-out evaluations).
         rank_mode:
@@ -1728,9 +1732,7 @@ class Workspace:
             raise self._error(
                 "cannot query an empty workspace (no live series)"
             )
-        resolved = requested
-        if requested == "auto":
-            resolved = "indexed" if snapshot.searcher is not None else "exact"
+        resolved, route_reason = self._route(requested, snapshot, candidates)
         # The telemetry decision is made once per query: disabled means
         # no trace object and every metric handle below is a no-op.
         trace: Optional[QueryTrace] = None
@@ -1738,6 +1740,7 @@ class Workspace:
             trace = QueryTrace(
                 requested_mode=requested, k=k, collection_size=snapshot.size
             )
+            trace.attributes["route_reason"] = route_reason
         if resolved == "indexed":
             if snapshot.searcher is None:
                 raise self._error(
@@ -1791,6 +1794,23 @@ class Workspace:
             snapshot_version=snapshot.version,
         )
         return self._finish_query(outcome, trace, started)
+
+    @staticmethod
+    def _route(
+        requested: str, snapshot: _Snapshot, candidates: Optional[int]
+    ) -> Tuple[str, str]:
+        """Resolve a requested query mode: ``(mode, route_reason)``."""
+        if requested != "auto":
+            return requested, "requested"
+        if snapshot.searcher is None:
+            return "exact", "no_fresh_index"
+        budget = (
+            snapshot.searcher.candidate_budget if candidates is None
+            else check_int_at_least(candidates, 1, "candidates")
+        )
+        if budget >= snapshot.size:
+            return "exact", "budget_covers_collection"
+        return "indexed", "budget_below_collection"
 
     def _finish_query(
         self,
@@ -1977,10 +1997,7 @@ class Workspace:
 
         Requests are grouped by (snapshot, k) — concurrent callers racing
         a mutation may hold different snapshots, and the engine's batch
-        entry point takes one k for the whole batch.  Genuine batches are
-        executed through the engine's vectorised batch kernels (the
-        throughput rationale for coalescing; results are identical across
-        backends), while a lone request keeps the configured backend.
+        entry point takes one k for the whole batch.
         """
         groups: Dict[Tuple[int, int], List[QueryRequest]] = {}
         for request in batch:
@@ -1996,12 +2013,6 @@ class Workspace:
                     exclude_identifiers=[
                         request.payload[3] for request in requests
                     ],
-                    backend=(
-                        "vectorized"
-                        if len(requests) > 1
-                        and snapshot.engine.backend == "serial"
-                        else None
-                    ),
                 )
             except BaseException as exc:  # noqa: BLE001 - per-request delivery
                 for request in requests:

@@ -173,3 +173,86 @@ class TestSymmetricBand:
         backward = build_constraint_band(100, 100, "fc,fw", None, config)
         combined = build_symmetric_band(forward, backward, 100, 100)
         validate_band(combined, 100, 100, repair=False)
+
+
+def _per_row_band(n, m, spec, partition, config):
+    """The original per-point band construction, kept as the oracle."""
+    parsed = parse_constraint_spec(spec)
+    candidates = np.zeros(n, dtype=float)
+    for idx in range(partition.num_intervals):
+        ix, iy = partition.corresponding(idx)
+        x_len = ix.end - ix.start
+        y_len = iy.end - iy.start
+        for i in range(ix.start, ix.end + 1):
+            if x_len == 0 or y_len == 0:
+                candidates[i] = iy.start
+            else:
+                candidates[i] = iy.start + (i - ix.start) / x_len * y_len
+    candidates[0] = 0.0
+    candidates[-1] = m - 1
+    candidates = np.clip(candidates, 0, m - 1)
+    lower_bound = max(1.0, config.adaptive_width_lower_bound * m)
+    upper_bound = (
+        config.adaptive_width_upper_bound * m
+        if config.adaptive_width_upper_bound is not None
+        else float(m)
+    )
+    widths_y = np.asarray([iv.length for iv in partition.intervals_y], dtype=float)
+    radius = parsed.neighbor_radius
+    per_point_width = np.empty(n, dtype=float)
+    for i in range(n):
+        index = partition.interval_index_for_y(int(round(candidates[i])))
+        if radius > 0:
+            lo = max(0, index - radius)
+            hi = min(widths_y.size - 1, index + radius)
+            width = float(widths_y[lo: hi + 1].mean())
+        else:
+            width = widths_y[index]
+        per_point_width[i] = min(max(width, lower_bound), upper_bound)
+    half = np.ceil(per_point_width / 2.0)
+    lo = np.floor(candidates - half).astype(int)
+    hi = np.ceil(candidates + half).astype(int)
+    return validate_band(np.stack([lo, hi], axis=1), n, m, repair=True)
+
+
+class TestVectorisedAdaptiveBandOracle:
+    """Vectorised adaptive bands equal the per-row construction."""
+
+    @pytest.mark.parametrize("spec", ["ac,aw", "ac2,aw"])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_boundaries(self, spec, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 90))
+        m = int(rng.integers(20, 90))
+        count = int(rng.integers(2, 7))
+        # Integer and half-integer boundaries, often coinciding, so empty
+        # intervals, shared endpoints and rounding ties all occur.
+        bx = np.sort(rng.integers(0, 2 * n, size=count) / 2.0)
+        by = np.sort(rng.integers(0, 2 * m, size=count) / 2.0)
+        if rng.integers(2):
+            by[1] = by[0]
+        partition = partition_from_boundaries(bx.tolist(), by.tolist(), n=n, m=m)
+        config = SDTWConfig(
+            adaptive_width_lower_bound=float(rng.choice([0.0, 0.05, 0.2])),
+            adaptive_width_upper_bound=rng.choice([None, 0.3]),
+        )
+        got = build_constraint_band(n, m, spec, partition, config)
+        want = _per_row_band(n, m, spec, partition, config)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", ["ac,aw", "ac2,aw"])
+    def test_random_series(self, spec):
+        from repro.core.sdtw import SDTW
+
+        rng = np.random.default_rng(11)
+        engine = SDTW()
+        for _ in range(6):
+            x = np.cumsum(rng.normal(size=int(rng.integers(90, 160))))
+            y = np.cumsum(rng.normal(size=int(rng.integers(90, 160))))
+            partition = engine.align(x, y).partition
+            if partition.num_intervals <= 1:
+                continue  # no matches: the band falls back to fc,fw
+            got = build_constraint_band(x.size, y.size, spec, partition,
+                                        engine.config)
+            want = _per_row_band(x.size, y.size, spec, partition, engine.config)
+            np.testing.assert_array_equal(got, want)

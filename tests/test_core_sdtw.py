@@ -115,6 +115,38 @@ class TestFeatureCache:
         second = engine.distance(x, y, "ac,aw")
         assert second.extract_seconds == 0.0
 
+    def test_cache_key_is_the_exact_bytes(self, engine, sine_pair):
+        x, _ = sine_pair
+        engine.extract_features(x)
+        # A one-ulp change is a different series: it must miss the cache.
+        nudged = x.copy()
+        nudged[7] = np.nextafter(nudged[7], np.inf)
+        _, elapsed = engine.extract_features(nudged)
+        assert elapsed > 0.0
+        assert engine.cache_size == 2
+
+    def test_query_scope_keeps_query_features_out_of_shared_cache(
+        self, engine, bumpy_pair
+    ):
+        x, y = bumpy_pair
+        engine.extract_features(y)
+        scope = engine.query_scope()
+        first = scope.distance(x, y, "ac,aw")
+        second = scope.distance(x, y, "ac,aw")
+        assert first.extract_seconds > 0.0
+        assert second.extract_seconds == 0.0  # once per query, not per pair
+        assert engine.cache_size == 1
+        assert second.distance == engine.distance(x, y, "ac,aw").distance
+
+    def test_cache_features_seeds_without_extracting(self, engine, sine_pair):
+        x, _ = sine_pair
+        features, _ = SDTW(engine.config).extract_features(x)
+        engine.cache_features(x, features)
+        cached, elapsed = engine.extract_features(x)
+        assert elapsed == 0.0
+        assert len(cached) == len(features)
+        assert all(a is b for a, b in zip(cached, features))
+
 
 class TestAlignment:
     def test_alignment_exposes_pipeline_artifacts(self, engine, bumpy_pair):

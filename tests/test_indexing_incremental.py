@@ -359,7 +359,8 @@ class TestWorkspaceIncremental:
         workspace.remove(victim)
         assert workspace.has_index
         assert victim not in workspace.identifiers
-        result = workspace.query(dataset[4].values, 5, candidates=100)
+        result = workspace.query(dataset[4].values, 5, mode="indexed",
+                                 candidates=100)
         assert result.mode == "indexed"
         assert victim not in result.ids
         exact = workspace.query(dataset[4].values, 5, mode="exact")

@@ -172,6 +172,99 @@ class TestIndexedEquivalence:
         assert identifier in result.ids
 
 
+class TestAutoRouting:
+    """``auto`` never does more work than ``exact``."""
+
+    def test_budget_covering_collection_answers_exactly(self, dataset, config):
+        workspace = _fill(Workspace(config), dataset)
+        workspace.build_index()
+        for ts in dataset.series[:4]:
+            auto = workspace.query(ts.values, 3, candidates=len(dataset),
+                                   exclude_identifier=ts.identifier)
+            exact = workspace.query(ts.values, 3, mode="exact",
+                                    exclude_identifier=ts.identifier)
+            assert auto.requested_mode == "auto"
+            assert auto.mode == "exact"
+            assert auto.hits == exact.hits
+            assert auto.trace.attributes["route_reason"] == (
+                "budget_covers_collection"
+            )
+
+    def test_configured_budget_covering_collection_answers_exactly(
+        self, dataset
+    ):
+        cfg = WorkspaceConfig(
+            engine=EngineConfig(constraint="fc,fw"),
+            index=IndexConfig(num_codewords=24, num_shards=2,
+                              candidate_budget=100),
+        )
+        workspace = _fill(Workspace(cfg), dataset)
+        workspace.build_index()
+        auto = workspace.query(dataset[2].values, 3)
+        exact = workspace.query(dataset[2].values, 3, mode="exact")
+        assert auto.mode == "exact"
+        assert auto.hits == exact.hits
+
+    def test_budget_below_collection_stays_indexed(self, dataset, config):
+        workspace = _fill(Workspace(config), dataset)
+        workspace.build_index()
+        result = workspace.query(dataset[0].values, 3,
+                                 candidates=len(dataset) - 1)
+        assert result.mode == "indexed"
+        assert result.trace.attributes["route_reason"] == (
+            "budget_below_collection"
+        )
+        assert workspace.query(dataset[0].values, 3).trace.attributes[
+            "route_reason"] == "budget_below_collection"
+
+    def test_route_reason_without_index_and_for_explicit_modes(
+        self, dataset, config
+    ):
+        workspace = _fill(Workspace(config), dataset)
+        auto = workspace.query(dataset[0].values, 3)
+        assert auto.trace.attributes["route_reason"] == "no_fresh_index"
+        exact = workspace.query(dataset[0].values, 3, mode="exact")
+        assert exact.trace.attributes["route_reason"] == "requested"
+
+
+class TestBoundedFeatureCache:
+    def test_distinct_queries_leave_the_cache_flat(self):
+        rng = np.random.default_rng(5)
+        workspace = Workspace(
+            WorkspaceConfig(engine=EngineConfig(constraint="ac,aw"))
+        )
+        for i in range(16):
+            workspace.add(np.cumsum(rng.normal(size=32)), identifier=f"s{i}")
+        for q in range(1000):
+            query = np.cumsum(rng.normal(size=32)) + 50.0 * (q % 7)
+            workspace.query(query, 1, mode="exact")
+        engine = workspace._ensure_serving().engine
+        assert engine._sdtw.cache_size == 16
+
+    def test_query_features_extracted_once_per_query(self, monkeypatch):
+        import repro.core.sdtw as sdtw_module
+
+        rng = np.random.default_rng(6)
+        workspace = Workspace(
+            WorkspaceConfig(engine=EngineConfig(constraint="ac,aw"))
+        )
+        for i in range(16):
+            workspace.add(np.cumsum(rng.normal(size=48)), identifier=f"s{i}")
+        workspace.query(np.cumsum(rng.normal(size=48)), 3, mode="exact")
+        calls = []
+        original = sdtw_module.extract_salient_features
+
+        def counting(values, config):
+            calls.append(values.size)
+            return original(values, config)
+
+        monkeypatch.setattr(sdtw_module, "extract_salient_features", counting)
+        result = workspace.query(np.cumsum(rng.normal(size=48)), 15,
+                                 mode="exact")
+        assert result.stats.dtw_computed + result.stats.dtw_abandoned > 1
+        assert calls == [48]
+
+
 class TestPersistence:
     def test_create_add_index_reopen_query_round_trip(
         self, tmp_path, dataset, config
