@@ -522,6 +522,7 @@ def _run_engine(args: argparse.Namespace) -> int:
         ["lower bounds", stats.bound_seconds],
         ["feature extraction (a)", stats.extract_seconds],
         ["matching + pruning (b)", stats.matching_seconds],
+        ["band construction", stats.band_seconds],
         ["dynamic programming (c)", stats.dp_seconds],
         ["batch wall-clock", result.elapsed_seconds],
     ]

@@ -91,16 +91,19 @@ def compute_descriptor(
     center_index = int(round(position))
     lo = max(0, center_index - radius)
     hi = min(values.size - 1, center_index + radius)
-    for sample in range(lo, hi + 1):
-        offset = sample - position
-        weight = np.exp(-(offset ** 2) / (2.0 * weight_sigma ** 2))
-        cell = int((sample - window_start) / cell_width)
-        cell = min(max(cell, 0), num_cells - 1)
-        grad = gradients[sample]
-        if grad >= 0:
-            descriptor[cell * 2] += weight * grad
-        else:
-            descriptor[cell * 2 + 1] += weight * (-grad)
+    samples = np.arange(lo, hi + 1)
+    # float_power calls libm pow like a Python float's ``**``; numpy's
+    # ``**`` squares by multiplication, which rounds differently for a
+    # few offsets and would change descriptors in the last bit.
+    squared = np.float_power(samples - position, 2)
+    weights = np.exp(-squared / (2.0 * weight_sigma ** 2))
+    cells = np.clip(
+        ((samples - window_start) / cell_width).astype(int), 0, num_cells - 1
+    )
+    grads = gradients[lo: hi + 1]
+    # Increasing gradients land in bin 2*cell, decreasing ones in
+    # 2*cell + 1; ``add.at`` accumulates the samples in order.
+    np.add.at(descriptor, 2 * cells + (grads < 0), weights * np.abs(grads))
 
     if config.normalize:
         descriptor = _normalize_descriptor(descriptor, config.clip_value)

@@ -17,9 +17,10 @@ Keogh's VLDB 2002 lower-bounding work (reference [7] of the paper):
 2. ``LB_Keogh`` — O(L) per pair, vectorised over the whole collection;
    uses band-matched envelopes for the Sakoe–Chiba family and the
    always-admissible global envelope for every other constraint family.
-3. Early-abandoning banded DTW — refinement in ascending-bound order that
-   stops a dynamic program as soon as a whole row exceeds the running
-   k-th-best distance.
+3. Early-abandoning batched DTW — refinement in ascending-bound chunks,
+   one lock-step dynamic program per chunk, that stops a candidate as
+   soon as a whole row exceeds the k-th-best distance the chunk started
+   with.
 
 A candidate pruned at stage *s* never pays for stage *s+1*; because every
 bound underestimates the true constrained distance and abandonment only
@@ -32,14 +33,14 @@ Backend selection
 -----------------
 ``DistanceEngine(backend=...)`` picks how the cascade executes:
 
-* ``serial`` (default) — the one in-process path.  Whenever the band
-  depends only on the grid shape (``full``, Sakoe–Chiba ``fc,fw`` and
-  ``itakura`` over an equal-length collection) it batches the lower
-  bounds and refines candidates with the lock-step batch DP, advancing
-  one grid row for dozens of candidates per numpy call.  Where bands
-  differ per candidate (the adaptive sDTW families, or mixed lengths)
-  it refines pair by pair and computes LB_Keogh lazily.
-  ``vectorized`` is an alias accepted for configurations written by
+* ``serial`` (default) — the one in-process path, for every constraint:
+  it batches the lower bounds and refines candidates with the lock-step
+  batch DP, advancing one grid row for dozens of candidates per numpy
+  call.  The band is shared when it depends only on the grid shape
+  (``full``, Sakoe–Chiba ``fc,fw`` and ``itakura`` over an equal-length
+  collection); otherwise each candidate brings its own band (the
+  adaptive sDTW families, or mixed lengths), built exactly as the
+  per-pair ``SDTW.distance`` builds it.  ``vectorized`` is an alias accepted for configurations written by
   earlier versions; it runs the same code.
 * ``multiprocessing`` — whole queries fan out to worker processes (each
   running the in-process path); series matrices, envelopes and
@@ -54,7 +55,8 @@ time-gain measure (Section 4.2) extended to the retrieval setting — pruned
 candidates avoid their entire grid — while ``extract_seconds`` /
 ``matching_seconds`` / ``dp_seconds`` reproduce the Figure 17 execution
 time split (tasks (a)/(b)/(c)), with ``bound_seconds`` as the cascade's
-stage-0 cost.  ``repro-sdtw engine`` prints these as a table, and
+stage-0 cost and ``band_seconds`` as per-candidate band construction.
+``repro-sdtw engine`` prints these as a table, and
 ``benchmarks/bench_engine_scaling.py`` measures end-to-end speedups versus
 the seed sequential scan.
 

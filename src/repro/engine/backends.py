@@ -3,10 +3,9 @@
 Two strategies orchestrate the same per-query cascade:
 
 * ``serial`` — the one in-process path: batched lower bounds and the
-  lock-step batch DP of :mod:`repro.engine.kernels` wherever every
-  candidate shares one band (the ``full``, ``fc,fw`` and ``itakura``
-  families over an equal-length collection), and a per-pair loop with
-  lazy LB_Keogh where bands differ per candidate.  ``vectorized`` (and
+  lock-step batch DP of :mod:`repro.engine.kernels` for every
+  constraint, with one shared band or one band per candidate.
+  ``vectorized`` (and
   its spellings) is kept as an alias, because manifests and
   ``--backend`` flags written by earlier versions carry it; it resolves
   to its own name but runs the same code.

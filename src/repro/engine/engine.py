@@ -13,9 +13,17 @@ three-stage pruning cascade per query:
    constraint family the engine falls back to the *global* envelope
    (min/max of the candidate), which lower-bounds the full DTW and hence
    every constrained DTW, keeping the cascade exact for all families.
-3. **Early-abandoning banded DTW** — surviving candidates are refined in
-   ascending-bound order; the dynamic program stops as soon as a whole row
-   exceeds the best-so-far k-th distance.
+3. **Early-abandoning batched DTW** — surviving candidates are refined in
+   ascending-bound chunks of ``batch_size``, each chunk by one lock-step
+   dynamic program (:func:`~repro.engine.kernels.banded_dtw_batch`) at
+   the best-so-far k-th distance the chunk starts with; a candidate stops
+   as soon as a whole row of its grid exceeds that threshold.  Every
+   constraint takes this one path: ``full``, ``fc,fw`` and ``itakura``
+   over an equal-length collection share one band, and otherwise each
+   candidate gets its own band, built and repaired exactly as the
+   per-pair :meth:`SDTW.distance <repro.core.sdtw.SDTW.distance>` builds
+   it (salient-feature alignment for the adaptive families).  The
+   per-pair path is the oracle: engine distances are ``==`` to it.
 
 Every stage is *admissible* (bounds never exceed the true constrained
 distance, and abandonment only fires when the distance provably exceeds
@@ -40,7 +48,10 @@ from ..core.bands import parse_constraint_spec
 from ..core.config import SDTWConfig
 from ..core.sdtw import SDTW
 from ..datasets.base import Dataset
-from ..dtw.banded import banded_dtw
+from ..dtw.banded import (
+    banded_dtw as banded_dtw,  # module attribute the perfbench tracer wraps
+    validate_band,
+)
 from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import get_pointwise_distance
 from ..dtw.lower_bounds import (
@@ -80,21 +91,15 @@ def normalize_constraint(constraint: Union[str, object]) -> str:
                               f"'full' and 'itakura'") from exc
 
 
-def _global_keogh_one(x: np.ndarray, y_min: float, y_max: float) -> float:
-    """LB via the global envelope: mass of *x* outside ``[y_min, y_max]``.
-
-    Admissible against the full DTW (every point of *x* is matched by at
-    least one path step) and therefore against every constrained DTW.
-    """
-    above = np.maximum(x - y_max, 0.0)
-    below = np.maximum(y_min - x, 0.0)
-    return float(above.sum() + below.sum())
-
-
 def _global_keogh_batch(
     x: np.ndarray, mins: np.ndarray, maxs: np.ndarray
 ) -> np.ndarray:
-    """Vectorised :func:`_global_keogh_one` against ``C`` candidates."""
+    """LB via the global envelope: mass of *x* outside each ``[min, max]``.
+
+    Admissible against the full DTW (every point of *x* is matched by at
+    least one path step) and therefore against every constrained DTW, so
+    it bounds the adaptive bands too.
+    """
     above = np.maximum(x[np.newaxis, :] - maxs[:, np.newaxis], 0.0)
     below = np.maximum(mins[:, np.newaxis] - x[np.newaxis, :], 0.0)
     return above.sum(axis=1) + below.sum(axis=1)
@@ -115,7 +120,8 @@ def cascade_bounds(
     xs = as_series(x, "x")
     ys = as_series(y, "y")
     stage1 = lb_kim(xs, ys)
-    stage2 = max(stage1, _global_keogh_one(xs, float(ys.min()), float(ys.max())))
+    envelope = _global_keogh_batch(xs, np.array([ys.min()]), np.array([ys.max()]))
+    stage2 = max(stage1, float(envelope[0]))
     return stage1, stage2
 
 
@@ -319,9 +325,9 @@ class DistanceEngine:
     itakura_max_slope:
         Slope parameter of the ``"itakura"`` constraint.
     batch_size:
-        Chunk size of the batch DP refinement (shared-band families):
-        candidates are refined in ascending-bound chunks of this size so
-        the abandonment threshold tightens between chunks.
+        Chunk size of the batched DP refinement: candidates are refined
+        in ascending-bound chunks of this size so the abandonment
+        threshold tightens between chunks.
     """
 
     def __init__(
@@ -696,36 +702,66 @@ class DistanceEngine:
             return itakura_band(n, m, self.itakura_max_slope)
         return None
 
-    def _refine(
+    def _candidate_band(
+        self, sdtw: SDTW, query: np.ndarray, values: np.ndarray, stats: EngineStats
+    ) -> np.ndarray:
+        """One candidate's validated band, as :meth:`SDTW.distance` builds it.
+
+        The salient-feature families align the pair first (features come
+        from *sdtw*'s cache, so the query's are extracted once per query);
+        extraction, matching and band construction are booked into *stats*.
+        """
+        n, m = query.size, values.size
+        alignment = None
+        if self._needs_alignment:
+            for series in (query, values):
+                _, seconds = sdtw.extract_features(series)
+                stats.extract_seconds += seconds
+            alignment = sdtw.align(query, values)
+            stats.matching_seconds += alignment.matching_seconds
+        start = time.perf_counter()
+        band = self._shared_band(n, m)
+        if band is None:
+            band, _ = sdtw.build_band(query, values, self.constraint, alignment)
+        band = validate_band(band, n, m, repair=True)
+        stats.band_seconds += time.perf_counter() - start
+        return band
+
+    def _refine_batch(
         self,
         sdtw: SDTW,
         query: np.ndarray,
-        stored: _Stored,
+        indices: Sequence[int],
         threshold: Optional[float],
-    ) -> Tuple[float, int, bool, float, float, float]:
-        """One per-pair refinement: ``(distance, cells, abandoned, extract,
-        match, dp)``.
+        stats: EngineStats,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Refine the candidates *indices* in one lock-step DP.
 
-        Only used where bands differ per candidate (adaptive constraints,
-        or a shared-band family over mixed lengths); *sdtw* is the
-        query-scoped view from :meth:`SDTW.query_scope`.
+        Returns ``(distances, abandoned)`` and books the work into
+        *stats*.  Over an equal-length collection a shape-only band is
+        shared by every candidate; otherwise each candidate gets its own
+        (:meth:`_candidate_band`).  *sdtw* is the query-scoped view from
+        :meth:`SDTW.query_scope`.
         """
-        band = self._shared_band(query.size, stored.values.size)
+        prep = self._prepared
+        n = query.size
+        band = self._shared_band(n, int(prep.lengths[0])) if prep.equal_length else None
         if band is not None:
-            start = time.perf_counter()
-            result = banded_dtw(
-                query, stored.values, band, self.config.pointwise_distance,
-                return_path=False, abandon_threshold=threshold,
-            )
-            dp_seconds = time.perf_counter() - start
-            return (result.distance, result.cells_filled, result.abandoned,
-                    0.0, 0.0, dp_seconds)
-        result = sdtw.distance(
-            query, stored.values, self.constraint, abandon_threshold=threshold
+            candidates = prep.matrix_rows(indices)
+        else:
+            candidates = [self._stored[i].values for i in indices]
+            band = np.stack([
+                self._candidate_band(sdtw, query, values, stats)
+                for values in candidates
+            ])
+        pointwise = get_pointwise_distance(self.config.pointwise_distance)
+        dp_start = time.perf_counter()
+        distances, cells, abandoned = banded_dtw_batch(
+            query, candidates, band, pointwise, threshold,
         )
-        return (result.distance, result.cells_filled, result.abandoned,
-                result.extract_seconds, result.matching_seconds,
-                result.dp_seconds)
+        stats.dp_seconds += time.perf_counter() - dp_start
+        stats.cells_filled += int(cells.sum())
+        return distances, abandoned
 
     def _keogh_tight_applicable(self, n: int) -> bool:
         prep = self._prepared
@@ -802,14 +838,8 @@ class DistanceEngine:
         stats.candidates = int(include.size)
         stats.total_cells = int(n * prep.lengths[include].sum())
 
-        # When the band depends only on the grid shape, every candidate is
-        # refined by the lock-step batch DP; per-candidate bands (adaptive
-        # constraints, mixed lengths) keep the per-pair loop, which bounds
-        # lazily: LB_Keogh only for candidates LB_Kim did not prune.
-        band = self._shared_band(n, int(prep.lengths[0])) if prep.equal_length else None
         use_kim = self.use_lb_kim and self._bounds_admissible
         use_keogh = self.use_lb_keogh and self._bounds_admissible
-        lazy_keogh = band is None and use_kim and use_keogh
 
         # With a candidate restriction the bounds are only computed over
         # the included subset (scattered back into full-size vectors so
@@ -829,7 +859,7 @@ class DistanceEngine:
             else:
                 kim_all = lb_kim_batch(kim_profile(query), prep.profiles)
             stats.lb_kim_computed = int(include.size)
-        if use_keogh and not lazy_keogh:
+        if use_keogh:
             if restricted:
                 keogh_all = np.zeros(len(self._stored))
                 if include.size:
@@ -873,69 +903,30 @@ class DistanceEngine:
             if len(kept) == k:
                 worst = kept[-1][0]
 
-        if band is not None:
-            pointwise = get_pointwise_distance(self.config.pointwise_distance)
-        else:
-            sdtw = self._sdtw.query_scope()
-
+        sdtw = self._sdtw.query_scope()
         position = 0
         while position < order.size:
             limit = worst if len(kept) == k else np.inf
             if bound_all[order[position]] > limit:
                 prune_remaining(position)
                 break
-            if band is not None:
-                stop = min(position + self.batch_size, order.size)
-                chunk: List[int] = []
-                for t in range(position, stop):
-                    if bound_all[order[t]] > limit:
-                        break
-                    chunk.append(int(order[t]))
-                threshold = limit if (self.early_abandon and np.isfinite(limit)) else None
-                dp_start = time.perf_counter()
-                dists, cell_counts, abandoned_mask = banded_dtw_batch(
-                    query, prep.matrix_rows(chunk), band, pointwise, threshold,
-                )
-                stats.dp_seconds += time.perf_counter() - dp_start
-                stats.cells_filled += int(cell_counts.sum())
-                for offset, index in enumerate(chunk):
-                    if abandoned_mask[offset]:
-                        stats.dtw_abandoned += 1
-                    else:
-                        stats.dtw_computed += 1
-                        absorb(dists[offset], index)
-                position += len(chunk)
-                continue
-
-            index = int(order[position])
-            position += 1
-            if lazy_keogh:
-                bound_start = time.perf_counter()
-                # Tight envelopes need the shared Sakoe-Chiba band, so the
-                # per-pair loop always uses the global envelope.
-                keogh_bound = _global_keogh_one(
-                    query, float(prep.mins[index]), float(prep.maxs[index])
-                )
-                stats.lb_keogh_computed += 1
-                stats.bound_seconds += time.perf_counter() - bound_start
-                if len(kept) == k and keogh_bound > worst:
-                    stats.pruned_lb_keogh += 1
-                    continue
-            threshold = (
-                worst if (self.early_abandon and len(kept) == k) else None
+            stop = min(position + self.batch_size, order.size)
+            chunk: List[int] = []
+            for t in range(position, stop):
+                if bound_all[order[t]] > limit:
+                    break
+                chunk.append(int(order[t]))
+            threshold = limit if (self.early_abandon and np.isfinite(limit)) else None
+            distances, abandoned = self._refine_batch(
+                sdtw, query, chunk, threshold, stats
             )
-            distance, cells, was_abandoned, extract_s, match_s, dp_s = self._refine(
-                sdtw, query, self._stored[index], threshold
-            )
-            stats.cells_filled += cells
-            stats.extract_seconds += extract_s
-            stats.matching_seconds += match_s
-            stats.dp_seconds += dp_s
-            if was_abandoned:
-                stats.dtw_abandoned += 1
-                continue
-            stats.dtw_computed += 1
-            absorb(distance, index)
+            for offset, index in enumerate(chunk):
+                if abandoned[offset]:
+                    stats.dtw_abandoned += 1
+                else:
+                    stats.dtw_computed += 1
+                    absorb(distances[offset], index)
+            position += len(chunk)
 
         hits = tuple(
             EngineHit(
@@ -958,33 +949,10 @@ class DistanceEngine:
         stats.candidates = count
         n = query.size
         stats.total_cells = int(n * prep.lengths.sum())
-        band = self._shared_band(n, int(prep.lengths[0])) if prep.equal_length else None
-        if band is not None:
-            dp_start = time.perf_counter()
-            parts = []
-            pointwise = get_pointwise_distance(self.config.pointwise_distance)
-            for seg in prep.segments:
-                seg_row, cell_counts, _ = banded_dtw_batch(
-                    query, seg.matrix, band, pointwise, None,
-                )
-                parts.append(seg_row)
-                stats.cells_filled += int(cell_counts.sum())
-            row = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            stats.dp_seconds += time.perf_counter() - dp_start
-            stats.dtw_computed += count
-        else:
-            row = np.empty(count)
-            sdtw = self._sdtw.query_scope()
-            for index, stored in enumerate(self._stored):
-                distance, cells, _, extract_s, match_s, dp_s = self._refine(
-                    sdtw, query, stored, None
-                )
-                row[index] = distance
-                stats.cells_filled += cells
-                stats.extract_seconds += extract_s
-                stats.matching_seconds += match_s
-                stats.dp_seconds += dp_s
-                stats.dtw_computed += 1
+        row, _ = self._refine_batch(
+            self._sdtw.query_scope(), query, np.arange(count), None, stats
+        )
+        stats.dtw_computed += count
         stats.elapsed_seconds = time.perf_counter() - started
         return row, stats
 

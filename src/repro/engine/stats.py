@@ -13,7 +13,8 @@ avoided.  The counters map directly onto the paper's cost model:
   Figure 17 execution-time split (tasks (a), (b), (c) of Section 3.4);
   ``bound_seconds`` adds the engine's new stage-0 cost (computing LB_Kim /
   LB_Keogh bounds), which plays the same amortisable role as feature
-  extraction.
+  extraction, and ``band_seconds`` the per-candidate band construction
+  that sits between matching and the DP.
 * :meth:`time_gain` is the paper's relative time-gain criterion evaluated
   against a reference (e.g. the sequential full-DTW scan).
 
@@ -54,10 +55,11 @@ class EngineStats:
     total_cells:
         Grid cells a full-DTW scan over every candidate pair would have
         evaluated (``sum of N*M``).
-    bound_seconds, extract_seconds, matching_seconds, dp_seconds:
+    bound_seconds, extract_seconds, matching_seconds, band_seconds, dp_seconds:
         Wall-clock phase breakdown: lower-bound stage, salient-feature
         extraction (task (a)), feature matching + inconsistency pruning
-        (task (b)), and dynamic programming (task (c)).
+        (task (b)), per-candidate band construction (0 when every
+        candidate shares one band), and dynamic programming (task (c)).
     elapsed_seconds:
         End-to-end wall-clock time of the batch call.
     """
@@ -75,6 +77,7 @@ class EngineStats:
     bound_seconds: float = 0.0
     extract_seconds: float = 0.0
     matching_seconds: float = 0.0
+    band_seconds: float = 0.0
     dp_seconds: float = 0.0
     elapsed_seconds: float = 0.0
 

@@ -59,7 +59,7 @@ class EngineConfig(_DictRoundTrip):
         Whether refinements stop once they provably exceed the running
         k-th best distance.
     batch_size:
-        Chunk size of the batch DP refinement (shared-band families).
+        Chunk size of the batched DP refinement.
     itakura_max_slope:
         Slope parameter of the ``"itakura"`` constraint.
     """

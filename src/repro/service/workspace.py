@@ -221,6 +221,7 @@ class WorkspaceQueryResult:
             "bound_seconds": self.stats.bound_seconds,
             "extract_seconds": self.stats.extract_seconds,
             "matching_seconds": self.stats.matching_seconds,
+            "band_seconds": self.stats.band_seconds,
             "dp_seconds": self.stats.dp_seconds,
             "rerank_seconds": self.rerank_seconds,
             "elapsed_seconds": self.elapsed_seconds,
@@ -1823,7 +1824,7 @@ class Workspace:
         ``trace is None`` means telemetry is off; the method then only
         pays two no-op counter calls.  Cascade stages are assembled from
         the result's :class:`EngineStats` (never re-timed), topped up by
-        a ``cascade_overhead`` span (engine wall time outside the four
+        a ``cascade_overhead`` span (engine wall time outside the five
         accounted phases) and the residual ``other`` span added by
         :meth:`QueryTrace.finish`, so the stage sum equals the measured
         end-to-end wall time exactly.
@@ -1849,6 +1850,7 @@ class Workspace:
         stage_hist.labels(stage="bounds").observe(stats.bound_seconds)
         stage_hist.labels(stage="extract").observe(stats.extract_seconds)
         stage_hist.labels(stage="matching").observe(stats.matching_seconds)
+        stage_hist.labels(stage="band_build").observe(stats.band_seconds)
         stage_hist.labels(stage="dp").observe(stats.dp_seconds)
         self._m_candidates.inc(stats.candidates)
         self._m_pruned.labels(stage="lb_kim").inc(stats.pruned_lb_kim)
@@ -1872,6 +1874,7 @@ class Workspace:
         )
         trace.add_stage("extract", stats.extract_seconds)
         trace.add_stage("matching", stats.matching_seconds)
+        trace.add_stage("band_build", stats.band_seconds)
         trace.add_stage(
             "dp",
             stats.dp_seconds,
@@ -1884,6 +1887,7 @@ class Workspace:
             stats.bound_seconds
             + stats.extract_seconds
             + stats.matching_seconds
+            + stats.band_seconds
             + stats.dp_seconds
         )
         if cascade_overhead > 0.0:

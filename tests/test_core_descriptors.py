@@ -5,13 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import DescriptorConfig
+from repro.core.config import DescriptorConfig, SDTWConfig
 from repro.core.descriptors import (
+    _normalize_descriptor,
     compute_descriptor,
     descriptor_distance,
     descriptor_window_radius,
 )
+from repro.core.features import extract_salient_features
+from repro.datasets.synthetic import make_gun_like
 from repro.exceptions import ValidationError
+from repro.utils.preprocessing import gaussian_smooth
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +96,68 @@ class TestDescriptorLocality:
         direct = compute_descriptor(wave, 150.0, 2.0, config)
         cached = compute_descriptor(wave, 150.0, 2.0, config, smoothed=smoothed)
         np.testing.assert_allclose(direct, cached)
+
+
+def _loop_descriptor(series, position, sigma, config):
+    """The per-sample reference loop :func:`compute_descriptor` replaced."""
+    gradients = np.gradient(gaussian_smooth(series, sigma))
+    num_cells = config.num_cells
+    radius = descriptor_window_radius(sigma, config)
+    window_start = position - radius
+    cell_width = 2.0 * radius / num_cells
+    weight_sigma = config.gaussian_weight_factor * radius
+    descriptor = np.zeros(num_cells * 2)
+    center_index = int(round(position))
+    lo = max(0, center_index - radius)
+    hi = min(series.size - 1, center_index + radius)
+    for sample in range(lo, hi + 1):
+        offset = sample - position
+        weight = np.exp(-(offset ** 2) / (2.0 * weight_sigma ** 2))
+        cell = int((sample - window_start) / cell_width)
+        cell = min(max(cell, 0), num_cells - 1)
+        grad = gradients[sample]
+        if grad >= 0:
+            descriptor[cell * 2] += weight * grad
+        else:
+            descriptor[cell * 2 + 1] += weight * (-grad)
+    if config.normalize:
+        descriptor = _normalize_descriptor(descriptor, config.clip_value)
+    return descriptor
+
+
+class TestDescriptorMatchesLoop:
+    """The vectorised descriptor is bit-identical to the per-sample loop."""
+
+    def test_real_keypoints(self):
+        config = SDTWConfig()
+        checked = 0
+        for ts in make_gun_like(num_series=6, seed=5):
+            series = np.asarray(ts.values, dtype=float)
+            for feature in extract_salient_features(series, config):
+                got = compute_descriptor(
+                    series, feature.position, feature.sigma, config.descriptor
+                )
+                want = _loop_descriptor(
+                    series, feature.position, feature.sigma, config.descriptor
+                )
+                assert np.array_equal(got, want)
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("normalize", (True, False))
+    def test_random_keypoints(self, normalize):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            series = np.cumsum(rng.normal(size=int(rng.integers(8, 200))))
+            config = DescriptorConfig(
+                num_bins=int(rng.choice([4, 16, 64])), normalize=normalize
+            )
+            # Fractional centres, including ones at and past the edges.
+            position = float(rng.uniform(-3.0, series.size + 2.0))
+            sigma = float(rng.uniform(0.3, 8.0))
+            got = compute_descriptor(series, position, sigma, config)
+            want = _loop_descriptor(series, position, sigma, config)
+            assert np.array_equal(got, want)
 
 
 class TestWindowRadius:

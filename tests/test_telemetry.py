@@ -435,6 +435,30 @@ class TestWorkspaceTraces:
         assert "queue_wait_seconds" in result.timings()
         _assert_trace_complete(result, "dp")
 
+    @pytest.mark.parametrize("constraint", ("ac,aw", "fc,fw"))
+    def test_band_build_stage(self, dataset, constraint):
+        config = WorkspaceConfig(
+            engine=EngineConfig(constraint=constraint), default_k=3
+        )
+        workspace = Workspace(config)
+        workspace.add_dataset(dataset)
+        result = workspace.query(dataset[5].values, mode="exact",
+                                 exclude_identifier=dataset[5].identifier)
+        _assert_trace_complete(result, "band_build")
+        band = next(stage for stage in result.trace.stages
+                    if stage.name == "band_build")
+        assert band.seconds == result.stats.band_seconds
+        assert result.timings()["band_seconds"] == result.stats.band_seconds
+        if constraint == "ac,aw":
+            # Per-candidate bands are built and timed.
+            assert result.stats.band_seconds > 0.0
+        else:
+            # One band shared by every candidate of the equal-length set.
+            assert result.stats.band_seconds == 0.0
+        series = workspace.metrics_to_dict()["histograms"][
+            "repro_query_stage_seconds"]["series"]
+        assert "stage=band_build" in series
+
     def test_trace_ring_retains_recent(self, dataset):
         workspace = _workspace(dataset, trace_ring=2)
         for i in range(3):
